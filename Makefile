@@ -9,7 +9,8 @@ GOVULNCHECK_VERSION ?= v1.1.3
 
 .PHONY: all build test vet race check serve-test ci experiments \
 	lint-self staticcheck govulncheck audit tune-smoke backend-diff \
-	prove-fuzz prove-smoke lazy-smoke race-smoke race-sweep cluster-smoke
+	prove-fuzz prove-smoke lazy-smoke race-smoke race-sweep cluster-smoke \
+	bench
 
 all: build test
 
@@ -149,6 +150,14 @@ cluster-smoke: build
 	$(GO) test -race -count=1 ./internal/store
 	$(GO) test -race -count=1 -run 'TestCluster|TestDiskTier' -v ./internal/svc
 	$(GO) test -count=1 -run 'TestClusterEndToEnd' -v .
+
+# Wall-clock benchmark (perfbench/README.md): every workload at the
+# default seed. Builds into .bench_build/; not part of ci, because its
+# timings depend on the host.
+bench:
+	bash perfbench/run.sh --workload compile
+	bash perfbench/run.sh --workload execute
+	bash perfbench/run.sh --workload serve
 
 ci: vet test race serve-test check lint-self audit staticcheck govulncheck tune-smoke backend-diff prove-fuzz prove-smoke lazy-smoke race-smoke race-sweep cluster-smoke
 

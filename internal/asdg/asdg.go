@@ -28,6 +28,7 @@ type Graph struct {
 	succ [][]int
 	pred [][]int
 	idx  map[[2]int]int // (from,to) -> index into Edges
+	refs [][]string     // vertex -> distinct referenced arrays
 }
 
 // Build computes dependences among stmts and assembles the graph.
@@ -44,6 +45,10 @@ func BuildWith(stmts []air.Stmt, computeDeps func([]air.Stmt) []dep.Edge) *Graph
 		succ:  make([][]int, len(stmts)),
 		pred:  make([][]int, len(stmts)),
 		idx:   map[[2]int]int{},
+		refs:  make([][]string, len(stmts)),
+	}
+	for v, s := range stmts {
+		g.refs[v] = referencedArrays(s)
 	}
 	for i, e := range g.Edges {
 		g.succ[e.From] = append(g.succ[e.From], e.To)

@@ -35,24 +35,43 @@ func (g *Graph) StmtRegion(v int) *sema.Region {
 // References reports whether vertex v references array x (as a read,
 // write, reduction input, or communication subject).
 func (g *Graph) References(v int, x string) bool {
-	switch s := g.Stmts[v].(type) {
-	case *air.ArrayStmt:
-		if s.LHS == x {
+	for _, y := range g.refs[v] {
+		if y == x {
 			return true
 		}
-		for _, r := range s.Reads() {
-			if r.Array == x {
-				return true
+	}
+	return false
+}
+
+// Refs returns the distinct arrays vertex v references, in order of
+// first reference. The slice is shared with the graph; do not modify it.
+func (g *Graph) Refs(v int) []string { return g.refs[v] }
+
+// referencedArrays lists the distinct arrays a statement references:
+// an array statement's target and reads, a reduction's inputs, a
+// communication statement's subject.
+func referencedArrays(s air.Stmt) []string {
+	var out []string
+	add := func(x string) {
+		for _, y := range out {
+			if y == x {
+				return
 			}
+		}
+		out = append(out, x)
+	}
+	switch s := s.(type) {
+	case *air.ArrayStmt:
+		add(s.LHS)
+		for _, r := range s.Reads() {
+			add(r.Array)
 		}
 	case *air.ReduceStmt:
 		for _, r := range air.Refs(s.Body) {
-			if r.Array == x {
-				return true
-			}
+			add(r.Array)
 		}
 	case *air.CommStmt:
-		return s.Array == x
+		add(s.Array)
 	}
-	return false
+	return out
 }

@@ -410,7 +410,7 @@ func TestGreedyPairwiseSharedRefusesDisjoint(t *testing.T) {
 		arrStmt(r, "E", ref("A", 0, 0)), // shares A with the first
 	}
 	g := asdg.Build(stmts)
-	p := GreedyPairwiseShared(Trivial(g), 1)
+	p := GreedyPairwiseShared(Trivial(g))
 	if p.ClusterOf(0) != p.ClusterOf(2) {
 		t.Error("statements sharing A not fused")
 	}

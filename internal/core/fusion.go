@@ -12,23 +12,31 @@ import (
 // number of array-level references to x, each weighted by the size of
 // the region over which it occurs.
 func Weight(g *asdg.Graph, x string) int {
-	w := 0
+	return weights(g, []string{x})[x]
+}
+
+// weights computes w(x, G) for every x in names in one pass over the
+// graph's statements.
+func weights(g *asdg.Graph, names []string) map[string]int {
+	w := make(map[string]int, len(names))
+	for _, x := range names {
+		w[x] = 0
+	}
+	count := func(x string, size int) {
+		if _, ok := w[x]; ok {
+			w[x] += size
+		}
+	}
 	for v := 0; v < g.N(); v++ {
 		switch s := g.Stmts[v].(type) {
 		case *air.ArrayStmt:
-			if s.LHS == x {
-				w += s.Region.Size()
-			}
+			count(s.LHS, s.Region.Size())
 			for _, r := range s.Reads() {
-				if r.Array == x {
-					w += s.Region.Size()
-				}
+				count(r.Array, s.Region.Size())
 			}
 		case *air.ReduceStmt:
 			for _, r := range air.Refs(s.Body) {
-				if r.Array == x {
-					w += s.Region.Size()
-				}
+				count(r.Array, s.Region.Size())
 			}
 		}
 	}
@@ -36,11 +44,13 @@ func Weight(g *asdg.Graph, x string) int {
 }
 
 // ByDecreasingWeight sorts array names by decreasing w(x, G), breaking
-// ties by name for determinism (line 3 of Fig. 3).
+// ties by name for determinism (line 3 of Fig. 3). Each weight is
+// computed once, before sorting.
 func ByDecreasingWeight(g *asdg.Graph, names []string) []string {
+	w := weights(g, names)
 	out := append([]string(nil), names...)
 	sort.SliceStable(out, func(i, j int) bool {
-		wi, wj := Weight(g, out[i]), Weight(g, out[j])
+		wi, wj := w[out[i]], w[out[j]]
 		if wi != wj {
 			return wi > wj
 		}
@@ -106,16 +116,18 @@ func FusionForContraction(g *asdg.Graph, p *Partition, candidates []string) (*Pa
 		p = Trivial(g)
 	}
 	contracted := map[string]bool{}
+	cg := p.ClusterGraph() // rebuilt after each merge
 	for _, x := range ByDecreasingWeight(g, candidates) {
 		c := p.clustersReferencing(x)
 		if len(c) == 0 {
 			continue
 		}
-		for d := range p.Grow(c) {
+		for d := range cg.Grow(c) {
 			c[d] = true
 		}
 		if contractible(p, x, c) && fusionPartitionOK(p, c) {
 			p.MergeSet(c)
+			cg = p.ClusterGraph()
 			contracted[x] = true
 		}
 	}
@@ -130,45 +142,69 @@ func FusionForLocality(g *asdg.Graph, p *Partition, arrays []string) *Partition 
 	if p == nil {
 		p = Trivial(g)
 	}
+	cg := p.ClusterGraph() // rebuilt after each merge
 	for _, x := range ByDecreasingWeight(g, arrays) {
 		c := p.clustersReferencing(x)
 		if len(c) < 2 {
 			continue
 		}
-		for d := range p.Grow(c) {
+		for d := range cg.Grow(c) {
 			c[d] = true
 		}
 		if fusionPartitionOK(p, c) {
 			p.MergeSet(c)
+			cg = p.ClusterGraph()
 		}
 	}
 	return p
 }
 
 // GreedyPairwise performs all legal fusion by a greedy pairwise
-// algorithm (the f4 transformation of §5.4): repeatedly try to merge
-// any two clusters (plus the cycle closure Grow demands) until no pair
+// algorithm (the f4 transformation of §5.4): repeatedly merge the
+// first cluster pair, in ascending order of representatives, that is
+// legal together with the cycle closure Grow demands, until no pair
 // can be merged.
 func GreedyPairwise(p *Partition) *Partition {
-	for {
-		merged := false
-		cl := p.Clusters()
-		for i := 0; i < len(cl) && !merged; i++ {
-			for j := i + 1; j < len(cl) && !merged; j++ {
-				c := map[int]bool{cl[i]: true, cl[j]: true}
-				for d := range p.Grow(c) {
-					c[d] = true
-				}
-				if fusionPartitionOK(p, c) {
-					p.MergeSet(c)
-					merged = true
-				}
+	return pairwise(p, nil)
+}
+
+// pairwise is the scan loop of greedy pairwise fusion, shared by
+// GreedyPairwise and GreedyPairwiseShared. It tries the cluster pairs
+// (i, j), i < j, in lexicographic order of node index (ascending
+// representatives); a pair is tried when it passes the pre-filter
+// (ClusterGraph.compatible) and accept (nil accepts every pair), and
+// merged when FUSION-PARTITION? accepts its GROW closure.
+//
+// After a merge the scan resumes at the merged cluster's position
+// instead of restarting at the first pair. This is exact, and the
+// plans equal a restart's: every earlier pair either failed already
+// or, as a vertex set, contains the GROW closure of a pair that
+// failed, and every Definition 5 test is anti-monotone in the vertex
+// set (DESIGN.md §4, "Complexity of the fusion passes"). accept must
+// keep that property: if it admits a pair containing a merged
+// cluster, it must admit that pair with one of the merged cluster's
+// parts too.
+func pairwise(p *Partition, accept func(cg *ClusterGraph, i, j int) bool) *Partition {
+	cg := p.ClusterGraph()
+	for i := 0; i < len(cg.reps); i++ {
+		for j := i + 1; j < len(cg.reps); j++ {
+			if !cg.compatible(i, j) || (accept != nil && !accept(cg, i, j)) {
+				continue
 			}
-		}
-		if !merged {
-			return p
+			cs, ok := cg.PairClosure(cg.reps[i], cg.reps[j])
+			if !ok {
+				continue
+			}
+			p.MergeSet(cs)
+			m := cg.reps[i]
+			for c := range cs {
+				m = min(m, c)
+			}
+			cg = p.ClusterGraph()
+			i, j = cg.node[m], cg.node[m] // resume at (merged, next)
 		}
 	}
+	return p
 }
 
 // AllArrays returns the names of arrays referenced by fusible

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/air"
@@ -143,102 +142,10 @@ func (p *Partition) ClustersReferencing(x string) map[int]bool {
 	return p.clustersReferencing(x)
 }
 
-// clusterSucc builds the cluster-level successor relation.
-func (p *Partition) clusterSucc() map[int][]int {
-	succ := map[int]map[int]bool{}
-	for _, e := range p.G.Edges {
-		a, b := p.rep[e.From], p.rep[e.To]
-		if a == b {
-			continue
-		}
-		if succ[a] == nil {
-			succ[a] = map[int]bool{}
-		}
-		succ[a][b] = true
-	}
-	out := map[int][]int{}
-	for a, m := range succ {
-		for b := range m {
-			out[a] = append(out[a], b)
-		}
-		sort.Ints(out[a])
-	}
-	return out
-}
-
-// Grow implements GROW(c, G): the clusters not in c that are reachable
-// from c and that reach c — exactly the clusters that would sit on an
-// inter-fusible-cluster dependence cycle if c were fused (line 6 of
-// Fig. 3). Runs in O(e).
-func (p *Partition) Grow(c map[int]bool) map[int]bool {
-	succ := p.clusterSucc()
-	pred := map[int][]int{}
-	for a, bs := range succ {
-		for _, b := range bs {
-			pred[b] = append(pred[b], a)
-		}
-	}
-	reach := func(start map[int]bool, adj map[int][]int) map[int]bool {
-		seen := map[int]bool{}
-		var stack []int
-		for s := range start {
-			stack = append(stack, s)
-		}
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range adj[v] {
-				if !seen[w] {
-					seen[w] = true
-					stack = append(stack, w)
-				}
-			}
-		}
-		return seen
-	}
-	down := reach(c, succ)
-	up := reach(c, pred)
-	out := map[int]bool{}
-	for v := range down {
-		if up[v] && !c[v] {
-			out[v] = true
-		}
-	}
-	return out
-}
-
 // Acyclic reports whether the cluster-level condensation is a DAG
 // (condition (iii) of Definition 5).
 func (p *Partition) Acyclic() bool {
-	succ := p.clusterSucc()
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := map[int]int{}
-	var visit func(v int) bool
-	visit = func(v int) bool {
-		color[v] = gray
-		for _, w := range succ[v] {
-			switch color[w] {
-			case gray:
-				return false
-			case white:
-				if !visit(w) {
-					return false
-				}
-			}
-		}
-		color[v] = black
-		return true
-	}
-	for _, c := range p.Clusters() {
-		if color[c] == white && !visit(c) {
-			return false
-		}
-	}
-	return true
+	return p.ClusterGraph().acyclic()
 }
 
 // IntraVectors returns the unconstrained distance vectors of every
@@ -336,46 +243,7 @@ func (p *Partition) Validate() error {
 // TopoClusters returns the cluster representatives in a topological
 // order of the cluster condensation, breaking ties by program order.
 func (p *Partition) TopoClusters() []int {
-	succ := p.clusterSucc()
-	indeg := map[int]int{}
-	for _, c := range p.Clusters() {
-		indeg[c] = 0
-	}
-	for _, bs := range succ {
-		for _, b := range bs {
-			indeg[b]++
-		}
-	}
-	// Min-heap by representative keeps the order deterministic and
-	// close to program order.
-	var ready []int
-	for _, c := range p.Clusters() {
-		if indeg[c] == 0 {
-			ready = append(ready, c)
-		}
-	}
-	sort.Ints(ready)
-	var out []int
-	for len(ready) > 0 {
-		c := ready[0]
-		ready = ready[1:]
-		out = append(out, c)
-		for _, b := range succ[c] {
-			indeg[b]--
-			if indeg[b] == 0 {
-				ready = insertSorted(ready, b)
-			}
-		}
-	}
-	return out
-}
-
-func insertSorted(s []int, v int) []int {
-	i := sort.SearchInts(s, v)
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
+	return p.ClusterGraph().topo()
 }
 
 // String renders the partition as {v0 v2} {v1} ... in topological order.

@@ -55,6 +55,7 @@ func explainBlock(prog *air.Program, level Level, blockIdx int, b *air.Block,
 	// final clusters defines a fusible-candidate pair that was not
 	// fused; diagnose each unordered pair once, in edge order.
 	seen := map[[2]int]bool{}
+	cg := p.ClusterGraph()
 	for ei := range g.Edges {
 		e := &g.Edges[ei]
 		a, c := p.ClusterOf(e.From), p.ClusterOf(e.To)
@@ -71,7 +72,7 @@ func explainBlock(prog *air.Program, level Level, blockIdx int, b *air.Block,
 		seen[key] = true
 
 		cs := map[int]bool{a: true, c: true}
-		for d := range p.Grow(cs) {
+		for d := range cg.Grow(cs) {
 			cs[d] = true
 		}
 		d := diagnoseFusion(p, cs)
@@ -110,7 +111,7 @@ func explainBlock(prog *air.Program, level Level, blockIdx int, b *air.Block,
 			})
 			continue
 		}
-		out = append(out, explainUncontracted(prog, level, blockIdx, g, p, x, pos))
+		out = append(out, explainUncontracted(prog, level, blockIdx, g, cg, x, pos))
 	}
 
 	// Compiler temporaries excluded by liveness never reach the
@@ -142,9 +143,10 @@ func explainBlock(prog *air.Program, level Level, blockIdx int, b *air.Block,
 // explainUncontracted diagnoses one uncontracted candidate: level
 // exclusion first (the level would not contract this array class no
 // matter what), then Definition 6, then the fusion the contraction
-// would require.
+// would require. cg is the condensation of the block's final partition.
 func explainUncontracted(prog *air.Program, level Level, blockIdx int,
-	g *asdg.Graph, p *Partition, x string, pos source.Pos) remark.Remark {
+	g *asdg.Graph, cg *ClusterGraph, x string, pos source.Pos) remark.Remark {
+	p := cg.p
 
 	r := remark.Remark{
 		Kind: remark.NotContracted, Pass: "contraction", Block: blockIdx,
@@ -165,7 +167,7 @@ func explainUncontracted(prog *air.Program, level Level, blockIdx int,
 		r.Reason = "no fusible statement references the array (only unnormalized or communication statements do)"
 		return r
 	}
-	for d := range p.Grow(cs) {
+	for d := range cg.Grow(cs) {
 		cs[d] = true
 	}
 	if cd := diagnoseContraction(p, x, cs); !cd.OK {

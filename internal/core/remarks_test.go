@@ -85,7 +85,7 @@ func TestDiagnosisAgreesWithPredicates(t *testing.T) {
 				if len(cs) == 0 {
 					continue
 				}
-				for d := range p.Grow(cs) {
+				for d := range p.ClusterGraph().Grow(cs) {
 					cs[d] = true
 				}
 				if got, want := diagnoseContraction(p, x, cs).OK, contractible(p, x, cs); got != want {

@@ -1,68 +1,29 @@
 package core
 
-import (
-	"repro/internal/air"
-)
-
 // GreedyPairwiseShared is the spatial-locality-sensitive variant of
 // greedy pairwise fusion that §5.4 leaves to future work: SP slowed
 // down under plain f4's indiscriminate fusion everywhere except where
 // independent statements actually share operands. This variant merges
-// a cluster pair only when the two clusters reference at least
-// minShared common arrays — fusing exactly the statements whose
-// combination yields register/cache reuse, and leaving unrelated
-// statements in their own nests where they stream best.
-func GreedyPairwiseShared(p *Partition, minShared int) *Partition {
-	if minShared < 1 {
-		minShared = 1
-	}
-	refs := func(c int) map[string]bool {
-		out := map[string]bool{}
-		for _, v := range p.Members(c) {
-			switch s := p.G.Stmts[v].(type) {
-			case *air.ArrayStmt:
-				out[s.LHS] = true
-				for _, r := range s.Reads() {
-					out[r.Array] = true
-				}
-			case *air.ReduceStmt:
-				for _, r := range air.Refs(s.Body) {
-					out[r.Array] = true
-				}
-			}
+// a cluster pair only when the two clusters reference a common array —
+// fusing exactly the statements whose combination yields
+// register/cache reuse, and leaving unrelated statements in their own
+// nests where they stream best.
+//
+// The sharing test keeps pairwise's resumed scan exact: a cluster that
+// shares an array with a merged cluster shares it with one of the
+// clusters merged into it. (A threshold of two or more shared arrays
+// would not have this property.)
+func GreedyPairwiseShared(p *Partition) *Partition {
+	return pairwise(p, func(cg *ClusterGraph, i, j int) bool {
+		a, b := cg.arraysOf(i), cg.arraysOf(j)
+		if len(b) < len(a) {
+			a, b = b, a
 		}
-		return out
-	}
-	shared := func(a, b map[string]bool) int {
-		n := 0
 		for x := range a {
 			if b[x] {
-				n++
+				return true
 			}
 		}
-		return n
-	}
-	for {
-		merged := false
-		cl := p.Clusters()
-		for i := 0; i < len(cl) && !merged; i++ {
-			ri := refs(cl[i])
-			for j := i + 1; j < len(cl) && !merged; j++ {
-				if shared(ri, refs(cl[j])) < minShared {
-					continue
-				}
-				c := map[int]bool{cl[i]: true, cl[j]: true}
-				for d := range p.Grow(c) {
-					c[d] = true
-				}
-				if fusionPartitionOK(p, c) {
-					p.MergeSet(c)
-					merged = true
-				}
-			}
-		}
-		if !merged {
-			return p
-		}
-	}
+		return false
+	})
 }

@@ -267,7 +267,7 @@ func LadderPartition(prog *air.Program, g *asdg.Graph, level Level,
 	case C2F4S:
 		p, contracted = FusionForContraction(g, nil, candidates)
 		p = FusionForLocality(g, p, AllArrays(g))
-		p = GreedyPairwiseShared(p, 1)
+		p = GreedyPairwiseShared(p)
 	default:
 		p = Trivial(g)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/core/reference"
 	"repro/internal/vm"
 )
 
@@ -162,6 +163,64 @@ func TestQuickPartitionsValid(t *testing.T) {
 				if err := bp.Part.Validate(); err != nil {
 					t.Logf("invalid partition (seed %d, %v): %v\n%s", seed, lvl, err, src)
 					return false
+				}
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 25}
+	if testing.Short() {
+		cfg.MaxCount = 5
+	}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickPairwiseMatchesReference: on random programs, sequential
+// and at p=2 (under both communication strategies), greedy pairwise
+// fusion and its operand-sharing variant produce the same partitions,
+// vertex for vertex, as the reference that restarts its scan from the
+// first pair after every merge and recomputes GROW for every pair.
+// Each pass starts from the c2+f3 partition (its input on the ladder)
+// and, sequentially, also from the trivial one (the longest merge
+// chains; the reference is too slow for that on distributed graphs).
+func TestQuickPairwiseMatchesReference(t *testing.T) {
+	fc := defaultComm(2)
+	fc.Strategy = comm.FavorComm
+	p2 := defaultComm(2)
+	passes := []struct {
+		name      string
+		fast, ref func(*core.Partition) *core.Partition
+	}{
+		{"f4", core.GreedyPairwise, reference.GreedyPairwise},
+		{"f4s", core.GreedyPairwiseShared, reference.GreedyPairwiseShared},
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		src := genProgram(r)
+		for _, co := range []*comm.Options{nil, &p2, &fc} {
+			c, err := Compile(src, Options{Level: core.C2F3, Comm: co})
+			if err != nil {
+				t.Logf("compile failed (seed %d): %v", seed, err)
+				return false
+			}
+			for bi, bp := range c.Plan.Blocks {
+				starts := []*core.Partition{bp.Part}
+				if co == nil {
+					starts = append(starts, core.Trivial(bp.Graph))
+				}
+				for _, start := range starts {
+					for _, pass := range passes {
+						got, want := pass.fast(start.Clone()), pass.ref(start.Clone())
+						for v := 0; v < bp.Graph.N(); v++ {
+							if got.ClusterOf(v) != want.ClusterOf(v) {
+								t.Logf("%s diverges (seed %d, comm %v, block %d) from %s:\n got %s\nwant %s\n%s",
+									pass.name, seed, co != nil, bi, start, got, want, src)
+								return false
+							}
+						}
+					}
 				}
 			}
 		}

@@ -726,10 +726,27 @@ func statusForCtx(err error) (int, string) {
 	return http.StatusGatewayTimeout, "timeout"
 }
 
+// MaxProcs caps a request's procs: each processor of a distributed
+// compilation or run costs a distvm goroutine and its communication
+// segments, so an unbounded count would let one request exhaust the
+// daemon.
+const MaxProcs = 64
+
+// checkProcs rejects a procs field outside [0, MaxProcs].
+func checkProcs(procs int) error {
+	if procs < 0 || procs > MaxProcs {
+		return fmt.Errorf("procs %d out of range: must be between 0 and the cap of %d", procs, MaxProcs)
+	}
+	return nil
+}
+
 // resolve validates the request and builds the driver options.
 func (s *Server) resolve(req *Request, run bool) (string, driver.Options, error) {
 	var opt driver.Options
 	var src string
+	if err := checkProcs(req.Procs); err != nil {
+		return "", opt, err
+	}
 	switch {
 	case req.Source != "" && req.Bench != "":
 		return "", opt, fmt.Errorf("pass source or bench, not both")

@@ -779,3 +779,32 @@ func TestTuneStatusMapping(t *testing.T) {
 		t.Errorf("GET /tune: HTTP %d", resp.StatusCode)
 	}
 }
+
+// TestProcsBound: procs above MaxProcs or below zero is a 400 whose
+// message names the cap, on /compile, /run and /tune alike; procs at
+// the cap itself compiles.
+func TestProcsBound(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	limit := fmt.Sprint(MaxProcs)
+	for _, procs := range []int{MaxProcs + 1, 1 << 20, -1} {
+		for _, path := range []string{"/compile", "/run"} {
+			status, body := post(t, ts.URL+path, Request{Bench: "fibro", Configs: map[string]int64{"n": 16}, Procs: procs})
+			var er ErrorResponse
+			if status != http.StatusBadRequest || json.Unmarshal(body, &er) != nil || er.Kind != "bad_request" {
+				t.Errorf("%s procs=%d: HTTP %d (%s), want 400 bad_request", path, procs, status, body)
+				continue
+			}
+			if !strings.Contains(er.Error, limit) {
+				t.Errorf("%s procs=%d: message %q does not name the cap %s", path, procs, er.Error, limit)
+			}
+		}
+		status, body := postTune(t, ts.URL, TuneRequest{Bench: "frac", Procs: procs})
+		if status != http.StatusBadRequest || !strings.Contains(string(body), limit) {
+			t.Errorf("/tune procs=%d: HTTP %d (%s), want 400 naming the cap", procs, status, body)
+		}
+	}
+	status, body := post(t, ts.URL+"/compile", Request{Bench: "fibro", Configs: map[string]int64{"n": 16}, Procs: MaxProcs})
+	if status != http.StatusOK {
+		t.Errorf("procs=%d (the cap): HTTP %d (%s), want 200", MaxProcs, status, body)
+	}
+}

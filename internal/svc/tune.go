@@ -62,6 +62,9 @@ type TuneResponse struct {
 // compilation fields and the extra fingerprint for the search knobs
 // the options struct does not carry.
 func (s *Server) resolveTune(req *TuneRequest) (src string, topt tune.Options, dopt driver.Options, extra string, err error) {
+	if err := checkProcs(req.Procs); err != nil {
+		return "", topt, dopt, "", err
+	}
 	switch {
 	case req.Source != "" && req.Bench != "":
 		return "", topt, dopt, "", fmt.Errorf("pass source or bench, not both")

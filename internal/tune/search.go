@@ -270,14 +270,12 @@ func beamSearch(ctx context.Context, prog *air.Program, g *asdg.Graph,
 		var next []state
 		grew := false
 		for _, s := range beam {
-			cl := s.p.Clusters()
+			cg := s.p.ClusterGraph()
+			cl := cg.Clusters()
 			for i := 0; i < len(cl); i++ {
 				for j := i + 1; j < len(cl); j++ {
-					cs := map[int]bool{cl[i]: true, cl[j]: true}
-					for d := range s.p.Grow(cs) {
-						cs[d] = true
-					}
-					if !core.FusionOK(s.p, cs) {
+					cs, ok := cg.PairClosure(cl[i], cl[j])
+					if !ok {
 						continue
 					}
 					q := s.p.Clone()
